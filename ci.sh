@@ -80,6 +80,12 @@ cargo test -q --test fused fused_smoke
 echo "==> aot smoke (aot vs decoded differential over the kernel families)"
 cargo test -q --test fused aot_smoke
 
+echo "==> block replay smoke (time-major replay vs slow stepper at block boundaries)"
+cargo test -q --test fused block_replay
+
+echo "==> perfbench unit tests (offline, the benchmark's own workspace)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --no-run (bench code must keep compiling)"
 cargo bench --no-run --workspace -q
 

@@ -143,6 +143,8 @@ pub(crate) struct AotEngine {
     /// `RingMachine::attach_proof` pins this entry as [`Self::proof_idx`]
     /// — every post-stability burst runs this exact configuration.
     pub(crate) prefill_final: Option<usize>,
+    /// Replay buffers for [`fused::execute`], reused across bursts.
+    scratch: fused::BlockScratch,
 }
 
 impl AotEngine {
@@ -581,7 +583,14 @@ impl RingMachine {
         {
             let program = &engine.entries[idx].program;
             let mut lanes = [&mut *self];
-            fused::execute(program, entry_phase, &mut lanes, window, true);
+            fused::execute(
+                program,
+                entry_phase,
+                &mut lanes,
+                window,
+                true,
+                &mut engine.scratch,
+            );
         }
         let period = u64::from(engine.entries[idx].program.period);
         engine.entries[idx].next_phase = ((u64::from(entry_phase) + window) % period) as u32;
@@ -714,7 +723,14 @@ impl RingMachine {
             {
                 let program = &engine.entries[idx].program;
                 let mut lanes = [&mut *self];
-                fused::execute(program, entry_phase, &mut lanes, len, true);
+                fused::execute(
+                    program,
+                    entry_phase,
+                    &mut lanes,
+                    len,
+                    true,
+                    &mut engine.scratch,
+                );
             }
             let period = u64::from(engine.entries[idx].program.period);
             engine.entries[idx].next_phase = ((u64::from(entry_phase) + len) % period) as u32;

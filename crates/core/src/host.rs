@@ -20,24 +20,17 @@ use crate::params::LinkModel;
 use crate::stats::Stats;
 use crate::switch::SwitchState;
 
-/// Live (switch, port) lists for burst-mode host stepping on a direct
-/// link; built by [`HostInterface::burst_plan`] at burst entry and
-/// consumed by [`HostInterface::step_planned`] each replayed cycle.
-#[derive(Debug)]
-pub(crate) struct HostBurstPlan {
-    fill: Vec<(usize, usize)>,
-    drain: Vec<(usize, usize)>,
-}
-
 /// Host-side stream endpoints for one machine.
 #[derive(Clone, Debug)]
 pub struct HostInterface {
-    sources: Vec<Vec<VecDeque<Word16>>>,
-    sinks: Vec<Vec<Vec<Word16>>>,
-    sink_open: Vec<Vec<bool>>,
-    link: LinkModel,
-    credit: f64,
-    rotate: usize,
+    // Crate-visible for the fused block engine, which replays host
+    // traffic as cursor arithmetic over these queues (see `crate::fused`).
+    pub(crate) sources: Vec<Vec<VecDeque<Word16>>>,
+    pub(crate) sinks: Vec<Vec<Vec<Word16>>>,
+    pub(crate) sink_open: Vec<Vec<bool>>,
+    pub(crate) link: LinkModel,
+    pub(crate) credit: f64,
+    pub(crate) rotate: usize,
 }
 
 impl HostInterface {
@@ -157,73 +150,6 @@ impl HostInterface {
     /// `true` if any sink is open (the host drains captures every cycle).
     pub(crate) fn any_sink_open(&self) -> bool {
         self.sink_open.iter().any(|ports| ports.contains(&true))
-    }
-
-    /// Fused-burst shortcut for *quiet* cycles — sources drained, no open
-    /// sinks, direct link: [`HostInterface::step`] would only advance the
-    /// round-robin rotation, so advance it `cycles` times in one go.
-    pub(crate) fn skip_quiet_cycles(&mut self, cycles: u64) {
-        debug_assert!(self.inputs_drained() && !self.any_sink_open());
-        debug_assert_eq!(self.link, LinkModel::Direct);
-        self.rotate = self.rotate.wrapping_add(cycles as usize);
-    }
-
-    /// Builds a burst-mode port plan, or `None` unless the link is
-    /// [`LinkModel::Direct`]. A direct link has an unlimited per-cycle
-    /// allowance, so the round-robin service order of [`HostInterface::step`]
-    /// is immaterial and a cycle only has to visit the ports that can
-    /// actually move a word: sources that still hold data (they only
-    /// shrink inside a burst) and open sinks (a burst cannot open one).
-    pub(crate) fn burst_plan(&self) -> Option<HostBurstPlan> {
-        if self.link != LinkModel::Direct {
-            return None;
-        }
-        let mut fill = Vec::new();
-        for (s, ports) in self.sources.iter().enumerate() {
-            for (port, source) in ports.iter().enumerate() {
-                if !source.is_empty() {
-                    fill.push((s, port));
-                }
-            }
-        }
-        let mut drain = Vec::new();
-        for (s, ports) in self.sink_open.iter().enumerate() {
-            for (port, open) in ports.iter().enumerate() {
-                if *open {
-                    drain.push((s, port));
-                }
-            }
-        }
-        Some(HostBurstPlan { fill, drain })
-    }
-
-    /// One cycle of host traffic along a prepared [`HostBurstPlan`].
-    /// Behaves exactly like [`HostInterface::step`] on a direct link: the
-    /// allowance is unlimited, so no transfer ever starves
-    /// (`link_stall_cycles` stays put) and the credit meter stays at zero.
-    pub(crate) fn step_planned(
-        &mut self,
-        plan: &mut HostBurstPlan,
-        switches: &mut [SwitchState],
-        stats: &mut Stats,
-    ) {
-        self.rotate = self.rotate.wrapping_add(1);
-        let sources = &mut self.sources;
-        plan.fill.retain(|&(s, port)| {
-            let source = &mut sources[s][port];
-            if !switches[s].host_in[port].is_full() {
-                let word = source.pop_front().expect("planned source non-empty");
-                switches[s].host_in[port].push(word);
-                stats.host_words_in += 1;
-            }
-            !source.is_empty()
-        });
-        for &(s, port) in &plan.drain {
-            if let Some(word) = switches[s].host_out[port].pop() {
-                self.sinks[s][port].push(word);
-                stats.host_words_out += 1;
-            }
-        }
     }
 
     /// Moves words between host streams and switch FIFOs for one cycle.

@@ -78,11 +78,11 @@ pub struct MachineParams {
     /// [`crate::RingMachine::run`] and
     /// [`crate::RingMachine::run_until_halt`] watch for quiescent windows —
     /// the controller halted or mid-`wait`, no fault injector armed, no
-    /// watchdog, a direct host link, and the configuration epochs stable
-    /// for a detection window — and execute them as *fused bursts*: the
-    /// whole ring is compiled once into a flat, phase-scheduled operation
-    /// list over a struct-of-arrays snapshot of machine state and replayed
-    /// with no per-cycle decode, dispatch or staging. Any reconfiguration
+    /// watchdog, and the configuration epochs stable for a detection
+    /// window — and execute them as *fused bursts*: the whole ring is
+    /// compiled once into a dependency-ordered operation list and replayed
+    /// time-major, each operation over a block of cycles, with no
+    /// per-cycle decode, dispatch or staging. Any reconfiguration
     /// write, context switch, armed fault injector or watchdog arm
     /// deoptimizes back to the decoded path, so the two are architecturally
     /// indistinguishable — same outputs, traces and statistics except the

@@ -109,8 +109,9 @@ pub enum PushOutcome {
 /// A bounded word FIFO (host-input or host-output side of a switch).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct WordFifo {
-    queue: VecDeque<Word16>,
-    capacity: usize,
+    // Crate-visible for the fused block engine's cursor replay.
+    pub(crate) queue: VecDeque<Word16>,
+    pub(crate) capacity: usize,
 }
 
 impl WordFifo {

@@ -346,15 +346,9 @@ pub fn forward_2d(geometry: RingGeometry, image: &Image) -> Result<WaveletRun, K
         }
     }
 
-    // Merge statistics (same fabric configuration in both passes).
+    // Both passes' statistics, every counter summed.
     let mut stats = row_stats;
-    stats.cycles += col_stats.cycles;
-    for (a, b) in stats.dnodes.iter_mut().zip(&col_stats.dnodes) {
-        a.active_cycles += b.active_cycles;
-        a.alu_ops += b.alu_ops;
-        a.mult_ops += b.mult_ops;
-        a.local_cycles += b.local_cycles;
-    }
+    stats.merge(&col_stats);
     Ok(WaveletRun {
         coefficients: out,
         cycles: row_cycles + col_cycles,
@@ -383,7 +377,7 @@ pub fn forward_2d_multi(
     let mut out = image.data().to_vec();
     let (mut w, mut h) = (width, height);
     let mut cycles = 0u64;
-    let mut stats = None;
+    let mut stats = Stats::new(geometry.dnodes());
     for level in 0..levels {
         if w % 2 != 0 || h % 2 != 0 || w < 2 || h < 2 {
             return Err(KernelError::BadParams(format!(
@@ -403,7 +397,7 @@ pub fn forward_2d_multi(
             }
         }
         cycles += run.cycles;
-        stats = Some(run.stats);
+        stats.merge(&run.stats);
         w /= 2;
         h /= 2;
     }
@@ -411,7 +405,7 @@ pub fn forward_2d_multi(
         coefficients: out,
         cycles,
         pixels: width * height,
-        stats: stats.expect("at least one level ran"),
+        stats,
     })
 }
 
@@ -648,6 +642,23 @@ mod tests {
         let one = forward_2d(RingGeometry::RING_16, &image).unwrap();
         assert!(run.cycles > one.cycles);
         assert!(run.cycles < one.cycles * 2);
+    }
+
+    #[test]
+    fn statistics_cover_every_pass_and_level() {
+        let image = Image::textured(64, 32, 4);
+        let compiled =
+            |stats: &Stats| (stats.fused_cycles + stats.aot_cycles) as f64 / stats.cycles as f64;
+        let run = forward_2d(RingGeometry::RING_16, &image).unwrap();
+        assert_eq!(run.stats.cycles, run.cycles);
+        assert!(
+            compiled(&run.stats) > 0.95,
+            "compiled coverage {}",
+            compiled(&run.stats)
+        );
+        let multi = forward_2d_multi(RingGeometry::RING_16, &image, 3).unwrap();
+        assert_eq!(multi.stats.cycles, multi.cycles);
+        assert!(multi.stats.host_words_in > run.stats.host_words_in);
     }
 
     #[test]

@@ -267,3 +267,309 @@ fn aot_smoke() {
         "the aot smoke suite never entered a superblock"
     );
 }
+
+/// Block replay differential. The fused engine replays a burst
+/// time-major, in blocks of 256 cycles, with the feedback pipelines kept
+/// as output histories and host FIFOs as cursors. These scenarios put the
+/// block and burst boundaries where that bookkeeping is most fragile and
+/// demand bit-identity with the slow stepper after every `run` call:
+/// sinks, FIFO contents, statistics minus the engines' own counters,
+/// output write stamps, pipeline contents and checkpoint images.
+mod block_replay {
+    use systolic_ring::core::{lockstep_burst, LinkModel, MachineParams, RingMachine};
+    use systolic_ring::isa::dnode::{AluOp, DnodeMode, MicroInstr, Operand, Reg};
+    use systolic_ring::isa::switch::{HostCapture, PortSource};
+    use systolic_ring::isa::{RingGeometry, Word16};
+
+    /// The engine's block length in cycles.
+    const BLOCK: u64 = 256;
+    /// Burst lengths around one and two blocks, plus bursts shorter than
+    /// `pipe_depth + 2` and a sub-burst single step.
+    const BURSTS: [u64; 9] = [
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        8,
+        9,
+        2 * BLOCK + 1,
+        1,
+        2 * BLOCK,
+        300,
+    ];
+
+    fn words(n: usize, seed: i16) -> Vec<Word16> {
+        (0..n)
+            .map(|i| Word16::from_i16((i as i16).wrapping_mul(37).wrapping_add(seed)))
+            .collect()
+    }
+
+    /// Every architecturally visible piece of state, rendered: Dnodes
+    /// (registers, output, stamp, mode, sequencer), switches (pipelines
+    /// and FIFO contents), the host (sources, sinks, link meter,
+    /// rotation), controller, bus, cycle and the architectural counters.
+    fn image(m: &RingMachine) -> String {
+        let g = m.geometry();
+        let dnodes: Vec<_> = (0..g.dnodes())
+            .map(|d| format!("{:?}", m.dnode(d)))
+            .collect();
+        let switches: Vec<_> = (0..g.switches())
+            .map(|s| format!("{:?}", m.switch(s)))
+            .collect();
+        format!(
+            "{dnodes:?}\n{switches:?}\n{:?}\n{:?}\n{:?} @{}\n{:?}",
+            m.host(),
+            m.controller(),
+            m.bus(),
+            m.cycle(),
+            m.stats().without_cache_counters()
+        )
+    }
+
+    fn assert_same(fused: &mut RingMachine, slow: &mut RingMachine, what: &str) {
+        assert_eq!(image(fused), image(slow), "{what}: state diverged");
+        let (a, b) = (fused.checkpoint().hydrate(), slow.checkpoint().hydrate());
+        assert_eq!(image(&a), image(&b), "{what}: checkpoint images diverged");
+    }
+
+    /// Kernels, self-loops, a two-op cycle and host traffic on Ring-16:
+    /// - (0,0) adds host port 0 to a stage-7 pipeline tap (the oldest
+    ///   stage, read from the pipeline prefix in a burst's first cycles);
+    /// - (0,1) subtracts 3 from host port 1, whose stream runs dry
+    ///   mid-block (underflows);
+    /// - (1,0) multiply-accumulates into its own register, multiplying
+    ///   by its own output two cycles back;
+    /// - (1,1) accumulates through a register operand;
+    /// - (2,0) and (2,1) feed each other through pipelines;
+    /// - (3,1) and (3,2) both drive the bus (a conflict every cycle),
+    ///   which (3,0) reads;
+    /// - captures drain into an open sink and fill a closed one, whose
+    ///   FIFO overflows mid-block;
+    /// - a host FIFO nobody reads fills up to capacity.
+    fn configure(m: &mut RingMachine, seed: i16) {
+        use Operand::{Bus, Imm, In1, In2, One};
+        let g = m.geometry();
+        let d = |layer: usize, lane: usize| g.dnode_index(layer, lane);
+        let cfg = m.configure();
+        let pipe = |switch: u8, stage: u8, lane: u8| PortSource::Pipe {
+            switch,
+            stage,
+            lane,
+        };
+        let prev = |lane: u8| PortSource::PrevOut { lane };
+        for (layer, lane, port, src) in [
+            (0, 0, 0, PortSource::HostIn { port: 0 }),
+            (0, 0, 1, pipe(1, 7, 1)),
+            (0, 1, 0, PortSource::HostIn { port: 1 }),
+            (1, 0, 0, prev(0)),
+            (1, 0, 1, pipe(2, 1, 0)),
+            (1, 1, 0, prev(0)),
+            (2, 0, 0, prev(0)),
+            (2, 0, 1, pipe(3, 0, 1)),
+            (2, 1, 0, pipe(3, 2, 0)),
+            (3, 0, 0, prev(0)),
+            (3, 1, 0, prev(1)),
+            (3, 2, 0, prev(0)),
+        ] {
+            cfg.set_port(0, layer, lane, port, src).expect("port");
+        }
+        let three = Word16::new(3);
+        for (dnode, instr) in [
+            (d(0, 0), MicroInstr::op(AluOp::Add, In1, In2).write_out()),
+            (
+                d(0, 1),
+                MicroInstr::op(AluOp::Sub, In1, Imm)
+                    .with_imm(three)
+                    .write_out(),
+            ),
+            (
+                d(1, 0),
+                MicroInstr::op(AluOp::Mac, In1, In2)
+                    .write_reg(Reg::R1)
+                    .write_out(),
+            ),
+            (
+                d(1, 1),
+                MicroInstr::op(AluOp::Add, In1, Operand::Reg(Reg::R2)).write_reg(Reg::R2),
+            ),
+            (d(2, 0), MicroInstr::op(AluOp::Add, In1, In2).write_out()),
+            (
+                d(2, 1),
+                MicroInstr::op(AluOp::Xor, In1, Imm)
+                    .with_imm(three)
+                    .write_out(),
+            ),
+            (d(3, 0), MicroInstr::op(AluOp::Min, In1, Bus).write_out()),
+            (d(3, 1), MicroInstr::op(AluOp::PassA, In1, One).write_bus()),
+            (
+                d(3, 2),
+                MicroInstr::op(AluOp::Add, In1, One).write_bus().write_out(),
+            ),
+        ] {
+            cfg.set_dnode_instr(0, dnode, instr).expect("instr");
+        }
+        cfg.set_capture(0, 0, 0, HostCapture::lane(0))
+            .expect("capture");
+        cfg.set_capture(0, 1, 1, HostCapture::lane(0))
+            .expect("capture");
+        cfg.set_capture(0, 3, 0, HostCapture::lane(1))
+            .expect("capture");
+        m.open_sink(0, 0).expect("sink");
+        m.open_sink(3, 0).expect("sink");
+        m.attach_input(0, 0, words(32 + 3 * BLOCK as usize + 40, seed))
+            .expect("stream");
+        m.attach_input(0, 1, words(32 + 140, seed ^ 0x55))
+            .expect("stream");
+        // Nothing reads this port: the host fills its FIFO until full.
+        m.attach_input(1, 3, words(200, seed)).expect("stream");
+    }
+
+    /// Local-mode loops of lengths 3 and 2 (period 6) on Ring-8: the
+    /// 3-loop drives the bus on one phase only (the bus holds on the
+    /// others), the 2-loop accumulates and reads a host FIFO on one phase.
+    fn configure_local(m: &mut RingMachine, seed: i16) {
+        use Operand::{Bus, In1, In2, One, Zero};
+        let cfg = m.configure();
+        cfg.set_port(0, 0, 0, 0, PortSource::HostIn { port: 0 })
+            .expect("port");
+        cfg.set_port(0, 1, 1, 0, PortSource::PrevOut { lane: 0 })
+            .expect("port");
+        cfg.set_port(0, 1, 1, 1, PortSource::HostIn { port: 1 })
+            .expect("port");
+        cfg.set_port(0, 2, 0, 0, PortSource::PrevOut { lane: 1 })
+            .expect("port");
+        cfg.set_dnode_instr(0, 4, MicroInstr::op(AluOp::Add, In1, Bus).write_out())
+            .expect("instr");
+        cfg.set_capture(0, 3, 0, HostCapture::lane(0))
+            .expect("capture");
+        m.set_local_program(
+            0,
+            &[
+                MicroInstr::op(AluOp::PassA, In1, Zero).write_out(),
+                MicroInstr::op(AluOp::Add, In1, One).write_bus(),
+                MicroInstr::op(AluOp::Nop, Zero, Zero),
+            ],
+        )
+        .expect("local program");
+        m.set_local_program(
+            3,
+            &[
+                MicroInstr::op(AluOp::Mac, In1, One).write_reg(Reg::R0),
+                MicroInstr::op(AluOp::Sub, In2, In1).write_out(),
+            ],
+        )
+        .expect("local program");
+        m.set_mode(0, DnodeMode::Local);
+        m.set_mode(3, DnodeMode::Local);
+        m.open_sink(3, 0).expect("sink");
+        m.attach_input(0, 0, words(500, seed)).expect("stream");
+        m.attach_input(1, 1, words(90, seed ^ 0x33))
+            .expect("stream");
+    }
+
+    /// Runs a fused and a slow machine through the burst sequence,
+    /// comparing after every `run`; every burst-sized run must replay
+    /// whole on the fused machine.
+    fn differential(params: MachineParams, g: RingGeometry, setup: fn(&mut RingMachine, i16)) {
+        let build = |params: MachineParams| {
+            let mut m = RingMachine::new(g, params);
+            setup(&mut m, 11);
+            m
+        };
+        let mut fused = build(params);
+        let mut slow = build(params.with_fused(false).with_decode_cache(false));
+        fused.run(32).expect("warm-up");
+        slow.run(32).expect("warm-up");
+        assert_same(&mut fused, &mut slow, "warm-up");
+        for k in BURSTS {
+            let before = fused.stats().fused_cycles;
+            fused.run(k).expect("fused run");
+            slow.run(k).expect("slow run");
+            assert_same(&mut fused, &mut slow, &format!("after a {k}-cycle run"));
+            if k >= 8 {
+                assert_eq!(
+                    fused.stats().fused_cycles - before,
+                    k,
+                    "a {k}-cycle run did not replay as one burst"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_groups_and_host_cursors() {
+        differential(
+            MachineParams::PAPER.with_host_fifo_capacity(48),
+            RingGeometry::RING_16,
+            configure,
+        );
+    }
+
+    #[test]
+    fn local_mode_period_above_one() {
+        // Reads on two phases of three fall behind the host's one word per
+        // cycle, so the small FIFOs fill up.
+        differential(
+            MachineParams::PAPER.with_host_fifo_capacity(16),
+            RingGeometry::RING_8,
+            configure_local,
+        );
+    }
+
+    #[test]
+    fn metered_link() {
+        differential(
+            MachineParams::PAPER
+                .with_host_fifo_capacity(48)
+                .with_link(LinkModel::PCI_250MBPS_AT_200MHZ),
+            RingGeometry::RING_16,
+            configure,
+        );
+    }
+
+    /// Lockstep lanes with different input streams, driven purely by
+    /// `lockstep_burst`, match per-lane slow stepping.
+    #[test]
+    fn lockstep_lanes() {
+        for lanes in [1usize, 3, 16] {
+            let params = MachineParams::PAPER.with_host_fifo_capacity(48);
+            let mut group: Vec<RingMachine> = Vec::new();
+            let mut slow: Vec<RingMachine> = Vec::new();
+            for lane in 0..lanes {
+                for (pool, p) in [
+                    (&mut group, params),
+                    (&mut slow, params.with_fused(false).with_decode_cache(false)),
+                ] {
+                    let mut m = RingMachine::new(RingGeometry::RING_16, p);
+                    configure(&mut m, 100 * lane as i16);
+                    pool.push(m);
+                }
+            }
+            let mut bursts = BURSTS.iter().copied().filter(|&k| k >= 8);
+            let mut occupancy = 0;
+            while let Some(k) = bursts.clone().next() {
+                let ran = {
+                    let mut refs: Vec<&mut RingMachine> = group.iter_mut().collect();
+                    lockstep_burst(&mut refs, k)
+                };
+                let step = if ran == 0 {
+                    for m in &mut group {
+                        m.run(1).expect("warm-up cycle");
+                    }
+                    1
+                } else {
+                    assert_eq!(ran, k, "{lanes} lanes: short burst");
+                    bursts.next();
+                    occupancy += k * lanes as u64;
+                    k
+                };
+                for m in &mut slow {
+                    m.run(step).expect("slow run");
+                }
+            }
+            for (i, (g, s)) in group.iter_mut().zip(&mut slow).enumerate() {
+                assert_same(g, s, &format!("{lanes} lanes, lane {i}"));
+                assert_eq!(g.stats().fused_lane_occupancy, occupancy);
+            }
+        }
+    }
+}
